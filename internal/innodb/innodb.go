@@ -393,12 +393,15 @@ func (tx *Tx) Lookup(p *sim.Proc, t *Table, rank int64) error {
 }
 
 // Scan reads n consecutive rows starting at rank (path to the first leaf,
-// then sibling leaves).
+// then sibling leaves). An empty scan (n <= 0) reads only the path.
 func (tx *Tx) Scan(p *sim.Proc, t *Table, rank, n int64) error {
 	for _, id := range t.tree.SearchPath(rank) {
 		if err := tx.e.touch(p, id, 0); err != nil {
 			return err
 		}
+	}
+	if n <= 0 {
+		return nil
 	}
 	leaves := t.tree.ScanLeaves(rank, n)
 	for _, id := range leaves[1:] {

@@ -319,6 +319,25 @@ func TestScanTouchesConsecutiveLeaves(t *testing.T) {
 	}
 }
 
+func TestEmptyScanReadsOnlySearchPath(t *testing.T) {
+	for _, n := range []int64{0, -1} {
+		r := newRig(t, false, false, false)
+		r.eng.Go("t", func(p *sim.Proc) {
+			tx := r.e.Begin()
+			if err := tx.Scan(p, r.tbl, 5, n); err != nil {
+				t.Errorf("Scan(n=%d): %v", n, err)
+			}
+		})
+		before := r.e.Pool().Stats().Gets
+		r.eng.Run()
+		r.e.Close()
+		gets := r.e.Pool().Stats().Gets - before
+		if depth := int64(r.tbl.Tree().Depth()); gets != depth {
+			t.Fatalf("Scan(n=%d) did %d gets, want the %d-page search path", n, gets, depth)
+		}
+	}
+}
+
 func TestODSyncSkipsBatchFsync(t *testing.T) {
 	// With O_DSYNC the engine issues no explicit fsync on the flush path;
 	// each data write carries its own barrier.

@@ -3,6 +3,7 @@ package nand
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"math/bits"
 )
 
 // ECC codec: per-codeword SEC-DED Hamming parity with a whole-page CRC-32C
@@ -32,10 +33,21 @@ var (
 	eccCRC = crc32.MakeTable(crc32.Castagnoli)
 	// bitXOR[b] is the XOR of the indices (0..7) of the set bits of b;
 	// bitPar[b] is the parity of its popcount. Together they let cwSyndrome
-	// fold a whole byte into the syndrome with two table lookups.
+	// fold a tail byte into the syndrome with two table lookups.
 	bitXOR [256]uint16
 	bitPar [256]uint16
 )
+
+// synMasks[b] selects the in-word bit positions k (0..63) that have bit b
+// set; the parity of x&synMasks[b] is syndrome bit b for a word XOR x.
+var synMasks = [6]uint64{
+	0xAAAAAAAAAAAAAAAA,
+	0xCCCCCCCCCCCCCCCC,
+	0xF0F0F0F0F0F0F0F0,
+	0xFF00FF00FF00FF00,
+	0xFFFF0000FFFF0000,
+	0xFFFFFFFF00000000,
+}
 
 func init() {
 	for b := 1; b < 256; b++ {
@@ -60,9 +72,49 @@ func ECCSize(n int) int { return 2*eccCodewords(n) + 4 }
 // cwSyndrome computes the codeword syndrome: the XOR of (p | synMark) over
 // every set bit position p. A single flipped bit at p changes the syndrome
 // by exactly (p | synMark).
+//
+// The kernel is word-parallel over a codeword of at most eccCodewordBytes
+// (64 words). Bit k of little-endian uint64 word w is position
+// p = 64w + k, so syndrome bits 0..5 are the parities of the bits of
+// x = XOR(all words) under synMasks, bits 6+c are the parities of
+// y_c = XOR(words whose index has bit c set), and synMark is the parity of
+// x. The words are consumed in 64-byte blocks; a byte loop folds in any
+// shorter tail. The result is bit-identical to the per-byte definition.
+//
+//simlint:hotpath
 func cwSyndrome(cw []byte) uint16 {
-	var xp, pr uint16
-	for i, b := range cw {
+	var x, y0, y1, y2, y3, y4, y5 uint64
+	blocks := len(cw) / 64
+	for blk := 0; blk < blocks; blk++ {
+		b := cw[blk*64 : blk*64+64]
+		w0 := binary.LittleEndian.Uint64(b[0:])
+		w1 := binary.LittleEndian.Uint64(b[8:])
+		w2 := binary.LittleEndian.Uint64(b[16:])
+		w3 := binary.LittleEndian.Uint64(b[24:])
+		w4 := binary.LittleEndian.Uint64(b[32:])
+		w5 := binary.LittleEndian.Uint64(b[40:])
+		w6 := binary.LittleEndian.Uint64(b[48:])
+		w7 := binary.LittleEndian.Uint64(b[56:])
+		// Word index = 8*blk + t: bits 0..2 come from t, 3..5 from blk.
+		y0 ^= w1 ^ w3 ^ w5 ^ w7
+		y1 ^= w2 ^ w3 ^ w6 ^ w7
+		y2 ^= w4 ^ w5 ^ w6 ^ w7
+		bx := w0 ^ w1 ^ w2 ^ w3 ^ w4 ^ w5 ^ w6 ^ w7
+		x ^= bx
+		y3 ^= bx & -uint64(blk&1)
+		y4 ^= bx & -uint64(blk>>1&1)
+		y5 ^= bx & -uint64(blk>>2&1)
+	}
+	var xp uint16
+	for b, m := range synMasks {
+		xp |= uint16(bits.OnesCount64(x&m)&1) << b
+	}
+	for c, y := range [6]uint64{y0, y1, y2, y3, y4, y5} {
+		xp |= uint16(bits.OnesCount64(y)&1) << (6 + c)
+	}
+	pr := uint16(bits.OnesCount64(x) & 1)
+	for i := blocks * 64; i < len(cw); i++ {
+		b := cw[i]
 		if b == 0 {
 			continue
 		}
@@ -85,6 +137,8 @@ func ECCEncode(page []byte) []byte {
 
 // ECCEncodeInto appends the parity blob for a page image to dst (which is
 // truncated to zero length first), reusing dst's capacity when possible.
+//
+//simlint:hotpath
 func ECCEncodeInto(dst, page []byte) []byte {
 	n := eccCodewords(len(page))
 	size := 2*n + 4

@@ -2,9 +2,71 @@ package nand
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 )
+
+// refCWSyndrome is the byte-serial definition of the codeword syndrome:
+// per byte, fold in the XOR of its set-bit positions and their parity.
+// cwSyndrome must match it on every input.
+func refCWSyndrome(cw []byte) uint16 {
+	var xp, pr uint16
+	for i, b := range cw {
+		if b == 0 {
+			continue
+		}
+		if bitPar[b] != 0 {
+			xp ^= uint16(i) << 3
+			pr ^= 1
+		}
+		xp ^= bitXOR[b]
+	}
+	if pr != 0 {
+		xp |= synMark
+	}
+	return xp
+}
+
+func TestCWSyndromeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for n := 0; n <= eccCodewordBytes; n++ {
+		random := make([]byte, n)
+		rng.Read(random)
+		type tc struct {
+			name string
+			cw   []byte
+		}
+		cases := []tc{
+			{"zero", make([]byte, n)},
+			{"ones", bytes.Repeat([]byte{0xff}, n)},
+			{"random", random},
+		}
+		if n > 0 {
+			pos := rng.Intn(n * 8)
+			flip := make([]byte, n)
+			flip[pos>>3] = 1 << (pos & 7)
+			flipped := append([]byte(nil), random...)
+			flipped[pos>>3] ^= 1 << (pos & 7)
+			cases = append(cases, tc{"single-bit", flip}, tc{"random-flipped", flipped})
+		}
+		for _, c := range cases {
+			if got, want := cwSyndrome(c.cw), refCWSyndrome(c.cw); got != want {
+				t.Fatalf("len %d %s: syndrome %#04x, reference %#04x", n, c.name, got, want)
+			}
+		}
+	}
+	// Every single-bit codeword of full length: the syndrome is exactly
+	// the bit position plus the mark.
+	cw := make([]byte, eccCodewordBytes)
+	for pos := 0; pos < eccCodewordBytes*8; pos++ {
+		cw[pos>>3] = 1 << (pos & 7)
+		if got := cwSyndrome(cw); got != uint16(pos)|synMark {
+			t.Fatalf("single bit at %d: syndrome %#04x, want %#04x", pos, got, uint16(pos)|synMark)
+		}
+		cw[pos>>3] = 0
+	}
+}
 
 func testPage(size int, seed int64) []byte {
 	page := make([]byte, size)
@@ -82,5 +144,33 @@ func TestECCRejectsParityLengthMismatch(t *testing.T) {
 	page := testPage(512, 5)
 	if _, ok := ECCDecode(page, make([]byte, 3)); ok {
 		t.Fatal("short parity accepted")
+	}
+}
+
+func BenchmarkECCEncode(b *testing.B) {
+	for _, size := range []int{4096, 16384} {
+		b.Run(fmt.Sprintf("%dKB", size/1024), func(b *testing.B) {
+			page := testPage(size, 1)
+			parity := ECCEncode(page)
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				parity = ECCEncodeInto(parity, page)
+			}
+		})
+	}
+}
+
+func BenchmarkECCDecode(b *testing.B) {
+	page := testPage(4096, 1)
+	parity := ECCEncode(page)
+	img := append([]byte(nil), page...)
+	b.SetBytes(int64(len(page)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		img[100] ^= 1 << 5 // one flipped bit, corrected back in place
+		if n, ok := ECCDecode(img, parity); !ok || n != 1 {
+			b.Fatalf("decode = (%d, %v), want (1, true)", n, ok)
+		}
 	}
 }

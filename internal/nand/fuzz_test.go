@@ -10,7 +10,8 @@ import (
 // the whole media pipeline rests on: ECCDecode must NEVER return ok=true
 // for bytes that differ from the encoded original. Failing to correct is
 // acceptable (the FTL retries, retires, or reports the typed error);
-// miscorrecting silently is not.
+// miscorrecting silently is not. Each codeword's syndrome must also match
+// the byte-serial reference.
 func FuzzECCRoundTrip(f *testing.F) {
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte{0x00}, []byte{0x00, 0x01})
@@ -20,6 +21,12 @@ func FuzzECCRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, page, flips []byte) {
 		if len(page) > 16384 {
 			page = page[:16384]
+		}
+		for off := 0; off < len(page); off += eccCodewordBytes {
+			cw := page[off:min(off+eccCodewordBytes, len(page))]
+			if got, want := cwSyndrome(cw), refCWSyndrome(cw); got != want {
+				t.Fatalf("codeword at %d (len %d): syndrome %#04x, reference %#04x", off, len(cw), got, want)
+			}
 		}
 		parity := ECCEncode(page)
 		img := append([]byte(nil), page...)
