@@ -95,18 +95,18 @@ type Point struct {
 type Campaign struct {
 	// Scenario is the workload and device configuration to explore. Its
 	// CutAfter is ignored: the exploration chooses the cut instants.
-	// Ignored when Burst is set.
+	// Ignored when Burst or Replica is set.
 	Scenario faults.Scenario
-	// Burst, when non-nil, explores the serving-layer mid-burst scenario
-	// instead of a single-engine database scenario: a multi-tenant write
-	// burst through internal/serve across mixed DuraSSD/volatile shards,
-	// with the cut hitting every shard at the derived instant. Its
-	// CutAfter is ignored, like Scenario's.
+	// Burst, when non-nil, explores the serving-layer crash rig's R=1
+	// mid-burst case instead of a single-engine database scenario: a
+	// multi-tenant write burst through internal/serve across mixed
+	// DuraSSD/volatile shards, with the cut hitting every shard at the
+	// derived instant. Its CutAfter is ignored, like Scenario's.
 	Burst *serve.BurstSpec
-	// Replica, when non-nil, explores the replica-loss scenario: a write
-	// burst through R-way replicated shard groups with one replica cut at
-	// the derived instant (the victim index rotating across points), plus a
-	// mid-catch-up double-fault point. Its CutAfter, CutReplica and
+	// Replica, when non-nil, explores the crash rig's replica-loss case: a
+	// write burst through R-way replicated shard groups with one replica
+	// cut at the derived instant (the victim index rotating across points),
+	// plus a mid-catch-up double-fault point. Its CutAfter, CutReplica and
 	// CutPeerDuringCatchup are ignored: the exploration chooses them.
 	Replica *serve.ReplicaSpec
 	// MaxPoints caps the number of replayed crash points (default 24). The
@@ -120,7 +120,7 @@ type Campaign struct {
 	DumpTears int
 }
 
-// Name summarizes the campaign's configuration, whichever runner it uses.
+// Name summarizes the campaign's configuration, whichever rig it explores.
 func (c Campaign) Name() string {
 	if c.Burst != nil {
 		return c.Burst.Name()
@@ -131,15 +131,14 @@ func (c Campaign) Name() string {
 	return c.Scenario.Name()
 }
 
-// Outcome pairs a crash point with its audited verdict. For burst
-// campaigns, Verdict carries the DuraSSD-side tallies (the claim under
-// test) and Burst the full split-by-device-class verdict; for replica-loss
-// campaigns, Verdict mirrors the claim-under-test tallies and Replica
-// carries the full replication verdict.
+// Outcome pairs a crash point with its audited verdict. Verdict carries
+// the claim-under-test tallies for every campaign kind, so the shared
+// reporting (Safe(), failure listings) reads them uniformly; for serving
+// campaigns Replica carries the crash rig's full verdict, volatile-control
+// tallies included.
 type Outcome struct {
 	Point   Point
 	Verdict *faults.Verdict
-	Burst   *serve.BurstVerdict
 	Replica *serve.ReplicaVerdict
 }
 
@@ -156,16 +155,17 @@ type Result struct {
 	// Outcomes holds one verdict per point, aligned with Points.
 	Outcomes []Outcome
 	// Unsafe counts outcomes that lost an acked commit, exposed a torn
-	// page, or failed to recover at all. For burst campaigns only the
-	// DuraSSD shards count: volatile-shard loss is the expected control
+	// page, or failed to recover at all. For serving campaigns only the
+	// DuraSSD groups count: volatile-group loss is the expected control
 	// outcome, tallied separately below.
 	Unsafe int
-	// Lost and Torn total the losses across all outcomes (DuraSSD shards
-	// only for burst campaigns).
+	// Lost and Torn total the losses across all outcomes (DuraSSD groups
+	// only for serving campaigns).
 	Lost, Torn int
 	// VolatileLost and VolatileTorn total the expected losses on the
-	// volatile-cache shards of burst campaigns and on the volatile R=1
-	// control of replica-loss campaigns (0 for engine campaigns).
+	// volatile-cache groups of serving campaigns: MidBurst's volatile
+	// shards and the R=1 volatile ReplicaLoss control (0 for engine
+	// campaigns).
 	VolatileLost, VolatileTorn int
 }
 
@@ -185,8 +185,9 @@ type event struct {
 	at     time.Duration
 }
 
-// Explore runs the campaign: one probe run to record the schedule, one
-// probe cut to size the dump, then one deterministic replay per point.
+// Explore runs the campaign: one probe run to record the schedule, the
+// points derived and sampled from it plus the target's extra points, then
+// one deterministic replay per point.
 func Explore(c Campaign) (*Result, error) {
 	if c.MaxPoints <= 0 {
 		c.MaxPoints = 24
@@ -194,85 +195,51 @@ func Explore(c Campaign) (*Result, error) {
 	if c.DumpTears == 0 {
 		c.DumpTears = 3
 	}
-	if c.Burst != nil {
-		return exploreBurst(c)
-	}
-	if c.Replica != nil {
-		return exploreReplica(c)
-	}
-	s := c.Scenario
-	s.CutAfter = 0
-
-	// Probe: run the workload to completion, recording the schedule.
-	var events []event
-	_, err := faults.RunWith(s, faults.Options{
-		NoCut: true,
-		EventFn: func(member int, kind iotrace.EventKind, at time.Duration) {
-			events = append(events, event{member, kind, at})
-		},
-	})
-	if err != nil {
-		return nil, fmt.Errorf("crashpoint: probe run: %w", err)
-	}
-	if len(events) == 0 {
-		return nil, fmt.Errorf("crashpoint: probe run recorded no device events")
-	}
-
-	prof, err := faults.Profile(s.Device)
+	t, err := newTarget(c)
 	if err != nil {
 		return nil, err
 	}
-	points, lastAck := derivePoints(events, prof.NAND.ProgramLatency, prof.NAND.EraseLatency)
-	points = samplePoints(points, c.MaxPoints)
 
-	// Mid-dump points: cut at the latest acknowledged write (maximal dirty
-	// state), count the dump the firmware performs, then enumerate tears.
-	if c.DumpTears > 0 && prof.Cache.Durable && lastAck > 0 {
-		s2 := s
-		s2.CutAfter = lastAck
-		probe, err := faults.RunWith(s2, faults.Options{})
-		if err != nil {
-			return nil, fmt.Errorf("crashpoint: dump probe: %w", err)
-		}
-		n := int(probe.DumpPages)
-		tears := c.DumpTears
-		if tears > n {
-			tears = n
-		}
-		for i := 0; i < tears; i++ {
-			// Evenly spaced 1-based indices across the dump, last included.
-			k := 1 + i*(n-1)/max(1, tears-1)
-			if tears == 1 {
-				k = n
-			}
-			points = append(points, Point{Kind: MidDump, At: lastAck, DumpTear: k})
-		}
+	// Probe: run the workload to completion, recording the schedule.
+	var events []event
+	err = t.probe(func(member int, kind iotrace.EventKind, at time.Duration) {
+		events = append(events, event{member, kind, at})
+	})
+	if err != nil {
+		return nil, fmt.Errorf("crashpoint: %s probe: %w", c.Name(), err)
 	}
+	if len(events) == 0 {
+		return nil, fmt.Errorf("crashpoint: %s probe recorded no device events", c.Name())
+	}
+
+	points, lastAck := derivePoints(events, t.progLat, t.eraseLat)
+	points = samplePoints(points, c.MaxPoints)
+	extra, err := t.extra(events, lastAck)
+	if err != nil {
+		return nil, fmt.Errorf("crashpoint: %s: %w", c.Name(), err)
+	}
+	points = append(points, extra...)
 	sortPoints(points)
 	points = dedupePoints(points)
 
-	res := &Result{Scenario: s, Name: s.Name(), Points: points, Digest: digest(s, len(events), points)}
-
-	// Replay: one deterministic trial per point. The interrupted-erase
-	// fault is armed in every trial — it only changes behaviour when an
-	// erase pulse is actually in flight at the cut, and arming it uniformly
-	// keeps the fault surface maximal.
-	for _, pt := range points {
-		s2 := s
-		s2.CutAfter = pt.At
-		v, err := faults.RunWith(s2, faults.Options{
-			DumpTearAfter:    pt.DumpTear,
-			InterruptedErase: true,
-		})
+	s := c.Scenario
+	s.CutAfter = 0
+	res := &Result{Scenario: s, Name: c.Name(), Points: points, Digest: digest(t.header, len(events), points)}
+	for i, pt := range points {
+		o, err := t.replay(i, pt)
 		if err != nil {
-			return nil, fmt.Errorf("crashpoint: %s at %v: %w", pt.Kind, pt.At, err)
+			return nil, fmt.Errorf("crashpoint: %s %s at %v: %w", c.Name(), pt.Kind, pt.At, err)
 		}
-		res.Outcomes = append(res.Outcomes, Outcome{Point: pt, Verdict: v})
-		if !v.Safe() {
+		res.Outcomes = append(res.Outcomes, o)
+		if !o.Verdict.Safe() {
 			res.Unsafe++
 		}
-		res.Lost += v.LostCommits
-		res.Torn += v.TornPages
+		res.Lost += o.Verdict.LostCommits
+		res.Torn += o.Verdict.TornPages
+		if o.Replica != nil {
+			res.VolatileLost += o.Replica.VolatileLost
+			res.VolatileTorn += o.Replica.VolatileTorn
+		}
 	}
 	return res, nil
 }
@@ -378,10 +345,11 @@ func dedupePoints(pts []Point) []Point {
 	return out
 }
 
-// digest serializes the schedule canonically and hashes it.
-func digest(s faults.Scenario, eventCount int, pts []Point) string {
+// digest serializes the schedule canonically, under the target's header
+// line, and hashes it.
+func digest(header string, eventCount int, pts []Point) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "scenario=%s engine=%s seed=%d events=%d\n", s.Name(), s.Engine, s.Seed, eventCount)
+	fmt.Fprintf(&b, "%s events=%d\n", header, eventCount)
 	for _, p := range pts {
 		fmt.Fprintf(&b, "%s@%d tear=%d\n", p.Kind, int64(p.At), p.DumpTear)
 	}

@@ -10,7 +10,10 @@ import (
 // suite exists to keep true: the full `crashtest -explore` campaign matrix
 // (both engines, all three host configurations), run twice in-process with
 // the same seed, must produce a byte-identical set of schedule digests and
-// identical safety tallies. Any wall-clock read, global-rand draw, raw
+// identical verdicts — every field a target reports, the serving rig's
+// volatile-control tallies, group losses and catch-up keys included. All
+// campaign kinds run through the one exploration loop, so this one test
+// covers its determinism for each of them. Any wall-clock read, global-rand draw, raw
 // goroutine, or map-order leak anywhere under the exploration stack would
 // show up here as a digest or verdict divergence.
 func TestMatrixDigestSetDeterminism(t *testing.T) {
@@ -26,8 +29,8 @@ func TestMatrixDigestSetDeterminism(t *testing.T) {
 				fmt.Fprintf(&b, " | %s@%d tear=%d acked=%d lost=%d torn=%d safe=%t",
 					o.Point.Kind, int64(o.Point.At), o.Point.DumpTear,
 					o.Verdict.AckedCommits, o.Verdict.LostCommits, o.Verdict.TornPages, o.Verdict.Safe())
-				if o.Burst != nil {
-					fmt.Fprintf(&b, " vlost=%d vtorn=%d", o.Burst.VolatileLost, o.Burst.VolatileTorn)
+				if o.Replica != nil {
+					fmt.Fprintf(&b, " rig=%+v", *o.Replica)
 				}
 			}
 			b.WriteByte('\n')

@@ -1,6 +1,9 @@
 package crashpoint
 
 import (
+	"errors"
+	"fmt"
+
 	"durassd/internal/faults"
 	"durassd/internal/serve"
 )
@@ -80,4 +83,47 @@ func Matrix(points, updates int, seed int64) []Campaign {
 		MaxPoints: points,
 	})
 	return out
+}
+
+// Check returns every way r breaks the outcome campaign c is expected to
+// have, or nil. Every point must audit without error. A claim row must
+// have no unsafe point and lose and tear nothing: DuraSSD in any
+// configuration, SSD-A with barriers on, and the DuraSSD groups of the
+// serving campaigns. A volatile control must lose acknowledged writes:
+// SSD-A with barriers off (in Lost/Torn, its only tallies), MidBurst's
+// volatile shards and the R=1 volatile ReplicaLoss row (in
+// VolatileLost/VolatileTorn, apart from their claim tallies).
+func (c Campaign) Check(r *Result) error {
+	var errs []error
+	for _, o := range r.Outcomes {
+		if o.Verdict.Err != nil {
+			errs = append(errs, fmt.Errorf("%s at %v: %w", o.Point.Kind, o.Point.At, o.Verdict.Err))
+		}
+	}
+	loses, inClaim := c.control()
+	lost := r.VolatileLost + r.VolatileTorn
+	if inClaim {
+		lost = r.Lost + r.Torn
+	}
+	if loses && lost == 0 {
+		errs = append(errs, errors.New("volatile control lost no acknowledged write"))
+	}
+	if !inClaim && (r.Unsafe != 0 || r.Lost != 0 || r.Torn != 0) {
+		errs = append(errs, fmt.Errorf("claim broken: %d unsafe points, %d lost, %d torn", r.Unsafe, r.Lost, r.Torn))
+	}
+	return errors.Join(errs...)
+}
+
+// control reports whether the campaign is a volatile control, which must
+// lose, and whether that loss lands in its claim tallies (engine rows) or
+// in its volatile ones (serving rows).
+func (c Campaign) control() (loses, inClaim bool) {
+	switch {
+	case c.Burst != nil:
+		return c.Burst.Volatile == nil || len(c.Burst.Volatile) > 0, false
+	case c.Replica != nil:
+		return c.Replica.Volatile && c.Replica.Replicas == 1, false
+	}
+	loses = c.Scenario.Device == faults.SSDA && !c.Scenario.Barrier
+	return loses, loses
 }

@@ -89,38 +89,3 @@ func TestExploreReplicaVolatileControlLoses(t *testing.T) {
 		}
 	}
 }
-
-// Two explorations of the same replica campaign are byte-identical: same
-// digest, same points, same verdicts.
-func TestExploreReplicaDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("replica-loss exploration replays many full runs")
-	}
-	run := func() *Result {
-		res, err := Explore(Campaign{
-			Replica: &serve.ReplicaSpec{
-				Groups: 2, Replicas: 3, Quorum: 2,
-				Updates: 60, Seed: 7,
-			},
-			MaxPoints: 3,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := run(), run()
-	if a.Digest != b.Digest {
-		t.Fatalf("digest diverged: %s vs %s", a.Digest, b.Digest)
-	}
-	if len(a.Outcomes) != len(b.Outcomes) {
-		t.Fatalf("outcome counts diverged: %d vs %d", len(a.Outcomes), len(b.Outcomes))
-	}
-	for i := range a.Outcomes {
-		x, y := a.Outcomes[i].Replica, b.Outcomes[i].Replica
-		if x.AckedCommits != y.AckedCommits || x.Lost != y.Lost ||
-			x.GroupLost != y.GroupLost || x.CatchupKeys != y.CatchupKeys {
-			t.Errorf("point %d verdict diverged: %+v vs %+v", i, x, y)
-		}
-	}
-}

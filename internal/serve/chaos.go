@@ -113,19 +113,20 @@ func ChaosScenario(workers int, seed int64) ScenarioConfig {
 // returns the synthetic noise accounts (empty when spec is nil). Each fault
 // is validated against the topology so a bad spec fails loudly at zero
 // virtual time rather than silently never firing.
-func installChaos(spec *ChaosSpec, cfg *ScenarioConfig, front *sim.Domain, srv *Server, storesByShard [][]*Store) []*TenantAccount {
+func installChaos(spec *ChaosSpec, cfg *ScenarioConfig, bx *box) []*TenantAccount {
 	if spec == nil {
 		return nil
 	}
+	front, srv := bx.front, bx.srv
 	for _, b := range spec.Brownouts {
-		st := storesByShard[b.Shard][b.Replica]
+		st := bx.stores[b.Shard][b.Replica]
 		eng := st.Domain().Engine()
 		slow, at := b.Slowdown, b.At
 		eng.Schedule(at, func() { st.SetSlowdown(slow) })
 		eng.Schedule(at+b.Duration, func() { st.SetSlowdown(0) })
 	}
 	for _, c := range spec.Crashes {
-		st := storesByShard[c.Shard][c.Replica]
+		st := bx.stores[c.Shard][c.Replica]
 		dom := st.Domain()
 		pc := st.Device().(storage.PowerCycler)
 		g := srv.Group(c.Shard)

@@ -129,58 +129,111 @@ type ScenarioResult struct {
 	Elapsed     time.Duration
 }
 
+// box is one built serving box: domain 0 of its cluster is the gateway,
+// and domain 1+g*R+r holds replica r of shard group g — a store on its own
+// device over the group's full key space.
+type box struct {
+	cluster *sim.Cluster
+	front   *sim.Domain
+	stores  [][]*Store // [group][replica]
+	srv     *Server
+}
+
+// boxSpec shapes a box.
+type boxSpec struct {
+	groups, replicas, workers int
+	latency                   time.Duration
+	keys                      []uint64
+	volatile                  []bool // per group: SSD-A instead of DuraSSD (nil: none)
+	store                     StoreConfig
+	serve                     Config
+}
+
+// buildBox builds the cluster, the ring and its partition of the keys, one
+// device and store per replica, and the gateway with its filters.
+func buildBox(bs boxSpec) (_ *box, err error) {
+	cluster := sim.NewCluster(1+bs.groups*bs.replicas, bs.latency, bs.workers)
+	defer func() {
+		if err != nil {
+			cluster.Close()
+		}
+	}()
+	bx := &box{cluster: cluster, front: cluster.Domain(0), stores: make([][]*Store, bs.groups)}
+	parts := PartitionKeys(NewRing(bs.groups), bs.keys)
+	for g := range bx.stores {
+		prof := ssd.DuraSSD(16)
+		if bs.volatile != nil && bs.volatile[g] {
+			prof = ssd.SSDA(16)
+		}
+		for r := 0; r < bs.replicas; r++ {
+			dom := cluster.Domain(1 + g*bs.replicas + r)
+			dev, err := ssd.New(dom.Engine(), prof)
+			if err != nil {
+				return nil, err
+			}
+			st, err := OpenStore(dom, dev, parts[g], bs.store)
+			if err != nil {
+				return nil, err
+			}
+			bx.stores[g] = append(bx.stores[g], st)
+		}
+	}
+	if bx.srv, err = NewReplicated(bx.front, bx.stores, bs.serve); err != nil {
+		return nil, err
+	}
+	bx.srv.BuildFilters(parts)
+	return bx, nil
+}
+
+// observe makes fn the observer of every replica's device events, member =
+// group*R + replica; a nil fn detaches them all.
+func (bx *box) observe(fn func(member int, kind iotrace.EventKind, at time.Duration)) {
+	for g, reps := range bx.stores {
+		for r, st := range reps {
+			var obs func(iotrace.EventKind, time.Duration)
+			if fn != nil {
+				member := g*len(reps) + r
+				obs = func(kind iotrace.EventKind, at time.Duration) { fn(member, kind, at) }
+			}
+			st.Device().Registry().SetEventFn(obs)
+		}
+	}
+}
+
 // RunScenario builds the serving box on a fresh cluster and drives the
 // tenant mix to completion.
 func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	cfg.defaults()
-	domains := 1 + cfg.Shards*cfg.Replicas
-	cluster := sim.NewCluster(domains, cfg.Latency, cfg.Workers)
-	defer cluster.Close()
-	front := cluster.Domain(0)
-
-	// Key layout: tenant-prefixed spaces partitioned over the ring.
-	ring := NewRing(cfg.Shards)
 	var keys []uint64
 	for t, ts := range cfg.Tenants {
 		for i := 0; i < ts.Keys; i++ {
 			keys = append(keys, tenantKey(t, i))
 		}
 	}
-	parts := PartitionKeys(ring, keys)
-
-	// Shard group i's replica r lives in domain 1 + i*Replicas + r, each on
-	// its own DuraSSD. Every replica of a group holds the group's full key
-	// space.
-	rec := iotrace.NewShardRecorder(domains)
-	storesByShard := make([][]*Store, cfg.Shards)
-	for i := 0; i < cfg.Shards; i++ {
-		for r := 0; r < cfg.Replicas; r++ {
-			dom := cluster.Domain(1 + i*cfg.Replicas + r)
-			dev, err := ssd.New(dom.Engine(), ssd.DuraSSD(16))
-			if err != nil {
-				return nil, err
-			}
-			// The paper's fast configuration: no barriers, the durable device
-			// cache carries the ack. Timing mode — the crash campaigns cover
-			// the real-bytes audit.
-			st, err := OpenStore(dom, dev, parts[i], StoreConfig{Barrier: false})
-			if err != nil {
-				return nil, err
-			}
-			storesByShard[i] = append(storesByShard[i], st)
-			rec.Attach(1+i*cfg.Replicas+r, dev.Registry())
-		}
-	}
-	srv, err := NewReplicated(front, storesByShard, cfg.Serve)
+	// The paper's fast configuration: no barriers, the durable device cache
+	// carries the ack. Timing mode — the crash campaigns cover the
+	// real-bytes audit.
+	bx, err := buildBox(boxSpec{
+		groups: cfg.Shards, replicas: cfg.Replicas, workers: cfg.Workers, latency: cfg.Latency,
+		keys: keys, store: StoreConfig{Barrier: false}, serve: cfg.Serve,
+	})
 	if err != nil {
 		return nil, err
 	}
-	srv.BuildFilters(parts)
+	defer bx.cluster.Close()
+	front, srv := bx.front, bx.srv
+	domains := 1 + cfg.Shards*cfg.Replicas
+	rec := iotrace.NewShardRecorder(domains)
+	for _, reps := range bx.stores {
+		for _, st := range reps {
+			rec.Attach(st.Domain().ID(), st.Device().Registry())
+		}
+	}
 
 	// Fault injection: every schedule entry lands on a specific domain's
 	// engine at a fixed virtual instant, so chaos is as deterministic as the
 	// traffic it disrupts.
-	noise := installChaos(cfg.Chaos, &cfg, front, srv, storesByShard)
+	noise := installChaos(cfg.Chaos, &cfg, bx)
 
 	// Tenant clients. Each thread owns a seeded generator, so the issued
 	// op stream is a pure function of (scenario seed, tenant, thread).
@@ -245,19 +298,15 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 			})
 		}
 	}
-	cluster.Run()
-	for _, reps := range storesByShard {
-		for _, st := range reps {
-			st.Device().Registry().SetEventFn(nil)
-		}
-	}
+	bx.cluster.Run()
+	bx.observe(nil)
 	for _, err := range tenantErr {
 		if err != nil {
 			return nil, err
 		}
 	}
 
-	res := &ScenarioResult{Config: cfg, Events: cluster.Events(), Digest: rec.Digest()}
+	res := &ScenarioResult{Config: cfg, Events: bx.cluster.Events(), Digest: rec.Digest()}
 	for i := 0; i < cfg.Shards; i++ {
 		res.ShedByShard = append(res.ShedByShard, srv.ShedCount(i))
 	}
@@ -269,7 +318,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	res.Robust = srv.Robustness()
 	var last time.Duration
 	for i := 0; i < domains; i++ {
-		if now := cluster.Domain(i).Now(); now > last {
+		if now := bx.cluster.Domain(i).Now(); now > last {
 			last = now
 		}
 	}

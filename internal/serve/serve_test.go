@@ -110,33 +110,15 @@ func TestStoreGroupCommit(t *testing.T) {
 }
 
 // buildTestServer assembles a 2-shard serving box in timing mode and returns
-// the cluster, server, and the partitioned key sets.
+// the cluster and server.
 func buildTestServer(t *testing.T, keys []uint64, cfg Config) (*sim.Cluster, *Server) {
 	t.Helper()
-	const shards = 2
-	cluster := sim.NewCluster(shards+1, testLatency, 1)
-	t.Cleanup(cluster.Close)
-	front := cluster.Domain(0)
-	ring := NewRing(shards)
-	parts := PartitionKeys(ring, keys)
-	stores := make([]*Store, shards)
-	for i := range stores {
-		dom := cluster.Domain(i + 1)
-		dev, err := ssd.New(dom.Engine(), ssd.DuraSSD(16))
-		if err != nil {
-			t.Fatal(err)
-		}
-		stores[i], err = OpenStore(dom, dev, parts[i], StoreConfig{Barrier: false})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	srv, err := New(front, stores, cfg)
+	bx, err := buildBox(boxSpec{groups: 2, replicas: 1, workers: 1, latency: testLatency, keys: keys, serve: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.BuildFilters(parts)
-	return cluster, srv
+	t.Cleanup(bx.cluster.Close)
+	return bx.cluster, bx.srv
 }
 
 // TestServerGatewayContract walks the full request paths: a negative lookup
